@@ -278,8 +278,9 @@ std::string Repository::SnapshotTriplesPath() const {
 Result<Repository::LoadStats> Repository::Load(std::string_view ntriples_document) {
   Stopwatch watch;
   // Parallel parser instances encode concurrently against the sharded
-  // dictionary; triples come back in document order, so load semantics are
-  // unchanged.
+  // dictionary. Triples come back in document order, but the ids given to
+  // new terms depend on thread scheduling; only the decoded contents and
+  // the triple order are deterministic.
   SLIDER_ASSIGN_OR_RETURN(
       TripleVec parsed, LoadNTriplesStringParallel(ntriples_document, &dict_));
   SLIDER_ASSIGN_OR_RETURN(LoadStats stats, AddTriples(parsed));

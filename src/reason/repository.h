@@ -162,6 +162,11 @@ class Repository {
   /// Parses an N-Triples document, loads it and fully materialises.
   /// Parsing and inference are timed together, as the paper does for
   /// OWLIM-SE ("the running times include both parsing and inferencing").
+  /// On a multi-core host a document above ~64 KB is split across parser
+  /// threads that encode into the shared dictionary concurrently, so the
+  /// term ids it assigns depend on thread scheduling. Only the decoded
+  /// contents and the triple order are deterministic: compare two
+  /// repositories' closures by lexical form, not by raw ids.
   Result<LoadStats> Load(std::string_view ntriples_document);
 
   /// Adds already-encoded statements. Under the default batch semantics the
